@@ -1,0 +1,7 @@
+"""Self-tests of the benchmark's own arithmetic: ``python3 -m pytest perfbench``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
