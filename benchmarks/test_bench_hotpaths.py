@@ -12,12 +12,17 @@ of the paper's M1/M2 networks):
 * the n-D k-means assignment (broadcast tensor vs chunked
   ``||x||^2 - 2 x.c + ||c||^2``);
 * alpha-Cut partition scoring (per-call weight passes vs the cached
-  summary).
+  summary);
+* boundary refinement (global BFS of the source partition on every
+  candidate move vs the local connectivity test), on M1-small's ASG
+  labels — the reference would take minutes on the 52k grid.
 
 Writes ``BENCH_hotpaths.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy) so the perf trajectory is tracked from
 this PR onward. The module-1 and kappa-scan speedups are asserted
-(>= 5x and >= 2x) — they are the paper's scalability story.
+(>= 5x and >= 2x) — they are the paper's scalability story — and the
+boundary-refinement speedup (>= 5x) catches a return to the per-move
+global scan.
 """
 
 from __future__ import annotations
@@ -43,9 +48,12 @@ from repro.clustering.optimality import (
     scan_kappa,
 )
 from repro.core.alpha_cut import _partition_weights, _prepare, partition_weight_summary
+from repro.core.boundary_refine import boundary_refine, boundary_refine_reference
+from repro.datasets import load_dataset
 from repro.graph.adjacency import Graph
 from repro.network.dual import build_road_graph, segment_adjacency_reference
 from repro.network.generators import grid_network
+from repro.pipeline.framework import SpatialPartitioningFramework
 
 ROOT_RESULTS = Path(__file__).parent.parent / "BENCH_hotpaths.json"
 
@@ -157,12 +165,32 @@ def test_bench_hotpaths(synthetic_city):
         "k": k,
     }
 
+    # --- boundary refinement -----------------------------------------
+    refine_network, refine_densities = load_dataset("M1-small")
+    framework = SpatialPartitioningFramework(k=8, seed=0)
+    start_labels = framework.partition(refine_network, refine_densities).labels
+    refine_graph = framework.last_road_graph
+    refine_args = (refine_graph.adjacency, refine_graph.features, start_labels)
+    ref_refine_s, ref_refined = _timed(boundary_refine_reference, *refine_args)
+    new_refine_s, new_refined = _timed(boundary_refine, *refine_args)
+    assert np.array_equal(new_refined, ref_refined)
+    refine_speedup = ref_refine_s / new_refine_s
+    payload["boundary_refine"] = {
+        "dataset": "M1-small",
+        "n_segments": refine_graph.n_nodes,
+        "reference_s": ref_refine_s,
+        "local_s": new_refine_s,
+        "speedup": refine_speedup,
+        "moved": int(np.count_nonzero(new_refined != start_labels)),
+    }
+
     rows = [
         ["module1 dual transform", ref_s, new_s, dual_speedup],
         ["kappa scan (2..30)", ref_scan_s, new_scan_s, scan_speedup],
         ["MCG (per call)", ref_mcg_s / reps, new_mcg_s / reps, ref_mcg_s / new_mcg_s],
         ["n-D assignment", ref_nd_s, new_nd_s, ref_nd_s / new_nd_s],
         ["alpha-cut scoring (k calls)", ref_cut_s, new_cut_s, ref_cut_s / new_cut_s],
+        ["boundary refine (M1-small)", ref_refine_s, new_refine_s, refine_speedup],
     ]
     print_table(
         f"Hot paths on {network.n_segments}-segment grid",
@@ -178,3 +206,6 @@ def test_bench_hotpaths(synthetic_city):
     # the acceptance floors of the perf layer
     assert dual_speedup >= 5.0, f"module-1 speedup {dual_speedup:.1f}x < 5x"
     assert scan_speedup >= 2.0, f"kappa-scan speedup {scan_speedup:.1f}x < 2x"
+    assert refine_speedup >= 5.0, (
+        f"boundary-refine speedup {refine_speedup:.1f}x < 5x"
+    )

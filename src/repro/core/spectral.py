@@ -34,9 +34,12 @@ DENSE_CUTOFF = 1500
 
 #: Last eigensolver outcome recorded in this process (module-level:
 #: module 3 always runs serially in the calling process). Read it with
-#: :func:`last_eigensolver_outcome`, claim it with
-#: :func:`consume_eigensolver_outcome`.
+#: :func:`last_eigensolver_outcome`.
 _LAST_OUTCOME: Optional[Dict[str, Any]] = None
+#: First outcome recorded since the last
+#: :func:`consume_eigensolver_outcome` — a run's embedding solve, which
+#: precedes the 2-way solves of its recursive bipartitioning.
+_FIRST_OUTCOME: Optional[Dict[str, Any]] = None
 
 
 def last_eigensolver_outcome() -> Optional[Dict[str, Any]]:
@@ -53,9 +56,15 @@ def last_eigensolver_outcome() -> Optional[Dict[str, Any]]:
 
 
 def consume_eigensolver_outcome() -> Optional[Dict[str, Any]]:
-    """Return and clear the last outcome (one consumer per solve)."""
-    global _LAST_OUTCOME
-    outcome, _LAST_OUTCOME = _LAST_OUTCOME, None
+    """Return the first outcome recorded since the previous call, and
+    clear both records (one consumer per run).
+
+    A partitioning run solves its k-way embedding first and any 2-way
+    bipartitions after it, so the returned record is the embedding's.
+    """
+    global _LAST_OUTCOME, _FIRST_OUTCOME
+    outcome = _FIRST_OUTCOME
+    _LAST_OUTCOME = _FIRST_OUTCOME = None
     return outcome
 
 
@@ -82,7 +91,7 @@ def _record_outcome(
     fallback_reason: Optional[str],
     span=None,
 ) -> None:
-    global _LAST_OUTCOME
+    global _LAST_OUTCOME, _FIRST_OUTCOME
     outcome: Dict[str, Any] = {
         "solver": solver,
         "method": method,
@@ -94,6 +103,8 @@ def _record_outcome(
         "fallback_reason": fallback_reason,
     }
     _LAST_OUTCOME = outcome
+    if _FIRST_OUTCOME is None:
+        _FIRST_OUTCOME = outcome
     if span is not None:
         span.attrs.update(
             solver=solver,

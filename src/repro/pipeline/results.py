@@ -41,10 +41,10 @@ class PartitioningResult:
         (after the minimum-size clamp), or None when the run was not
         sharded. Recorded into the run manifest by the framework.
     eigensolver:
-        Outcome record of the spectral eigensolve (solver used,
-        iterations where known, residual at exit, converged flag,
+        Outcome record of the module-3 embedding eigensolve (solver
+        used, iterations where known, residual at exit, converged flag,
         fallback reason) — see
-        :func:`repro.core.spectral.last_eigensolver_outcome`. None for
+        :func:`repro.core.spectral.consume_eigensolver_outcome`. None for
         schemes that never ran the alpha-Cut eigensolver (NG/JG).
     manifest:
         Run manifest (config, seed, package versions, platform, git

@@ -187,7 +187,7 @@ def run_scheme(
         timings=own_timer.timings,
         n_supernodes=n_supernodes,
         n_shards_resolved=n_shards_resolved,
-        # module 3 runs serially in this process, so the last recorded
-        # outcome (if any) is this run's eigensolve
+        # module 3 runs serially in this process, so the first outcome
+        # recorded since the consume above is this run's embedding solve
         eigensolver=consume_eigensolver_outcome(),
     )

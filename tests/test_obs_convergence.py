@@ -24,7 +24,7 @@ from repro.core.spectral import (
     last_eigensolver_outcome,
     smallest_eigenvectors,
 )
-from repro.datasets import small_network
+from repro.datasets import load_dataset, small_network
 from repro.graph.lanczos import lanczos_smallest
 from repro.graph.laplacian import AlphaCutOperator
 from repro.obs import ObsContext
@@ -210,16 +210,23 @@ class TestInstrumentedSolvers:
         assert {t.meta.get("restart") for t in nd} == {0, 1}
 
     def test_boundary_refine_records_moves(self):
+        # the refinement opens its own span; the trace rides on it
         adj = _ring_adjacency(20)
         feats = np.linspace(0.0, 1.0, 20)
         labels = (np.arange(20) >= 10).astype(int)
-        traces = self._solo_trace(
-            lambda: boundary_refine(adj, feats, labels, max_sweeps=3)
-        )
-        br = [t for t in traces if t.solver == "boundary_refine"]
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            with tracer.span("host") as host:
+                boundary_refine(adj, feats, labels, max_sweeps=3)
+        assert traces_from_attrs(host.attrs) == []
+        (span,) = [c for c in host.children if c.name == "boundary_refine"]
+        br = [t for t in traces_from_attrs(span.attrs) if t.solver == "boundary_refine"]
         assert len(br) == 1
         assert "moves" in br[0].series
         assert br[0].converged in (True, False)
+        assert span.attrs["n"] == 20 and span.attrs["k"] == 2
+        assert span.attrs["sweeps"] == br[0].n_iter
+        assert span.attrs["moves"] == sum(br[0].series["moves"])
 
     def test_lanczos_records_beta_and_stats(self):
         adj = _ring_adjacency(40)
@@ -305,6 +312,28 @@ class TestEigensolverOutcome:
             json.loads(json.dumps(result_to_dict(result)))
         )
         assert rebuilt.eigensolver == result.eigensolver
+
+    @pytest.mark.parametrize("dataset,k", [("M1-small", 8), ("M1-small", 4), ("D1", 6)])
+    def test_result_carries_embedding_solve(self, dataset, k):
+        # with k' > k the 2-way bipartition solves come after the
+        # embedding; the result must still report the embedding
+        network, densities = load_dataset(dataset)
+        framework = SpatialPartitioningFramework(k=k, scheme="ASG", seed=0)
+        result = framework.partition(network, densities)
+        assert result.eigensolver["n"] == result.n_supernodes
+        assert result.eigensolver["k"] == k
+        rebuilt = result_from_dict(
+            json.loads(json.dumps(result_to_dict(result)))
+        )
+        assert rebuilt.eigensolver == result.eigensolver
+
+    def test_consume_returns_first_outcome_since_last_consume(self):
+        consume_eigensolver_outcome()
+        smallest_eigenvectors(_ring_adjacency(12), 4, method="dense")
+        smallest_eigenvectors(_ring_adjacency(5), 2, method="dense")
+        assert last_eigensolver_outcome()["n"] == 5
+        outcome = consume_eigensolver_outcome()
+        assert (outcome["n"], outcome["k"]) == (12, 4)
 
     def test_ncut_scheme_has_no_outcome(self):
         network, densities = small_network(seed=7)
