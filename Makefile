@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-serving bench-compare serve-demo slo-demo obs-report trace-demo analyze-demo profile-demo examples docs-check all
+.PHONY: install test bench bench-full bench-hotpaths bench-obs bench-serving bench-compare serve-demo slo-demo obs-report trace-demo analyze-demo profile-demo examples all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop

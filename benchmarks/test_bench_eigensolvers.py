@@ -1,11 +1,11 @@
 """Bench — eigensolver backends for the alpha-Cut matrix.
 
 The paper identifies eigendecomposition as the framework's dominant
-cost and plugs in a high-performance solver [3]. We compare our three
+cost and plugs in a high-performance solver [3]. We compare our two
 backends on the supergraph of a large-network analogue: dense LAPACK
-(`numpy.linalg.eigh`), ARPACK (`scipy.sparse.linalg.eigsh` on the
-matrix-free operator) and the in-house Lanczos solver — checking they
-agree on the k smallest eigenvalues and reporting wall-clock times.
+(`numpy.linalg.eigh`) and ARPACK (`scipy.sparse.linalg.eigsh` on the
+matrix-free operator) — checking they agree on the k smallest
+eigenvalues and reporting wall-clock times.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def test_eigensolver_backends(benchmark, large_graphs):
 
     def run():
         out = {}
-        for method in ("dense", "arpack", "lanczos"):
+        for method in ("dense", "arpack"):
             start = time.perf_counter()
             values, __ = smallest_eigenvectors(adjacency, K, method=method)
             out[method] = {
@@ -60,7 +60,6 @@ def test_eigensolver_backends(benchmark, large_graphs):
         {m: {"seconds": r["seconds"], "values": r["values"]} for m, r in results.items()},
     )
 
-    # all three backends agree on the smallest eigenvalues
+    # both backends agree on the smallest eigenvalues
     reference = results["dense"]["values"]
     np.testing.assert_allclose(results["arpack"]["values"], reference, atol=1e-6)
-    np.testing.assert_allclose(results["lanczos"]["values"], reference, atol=1e-4)

@@ -126,14 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="supernode stability threshold epsilon_eta in [0, 1]",
     )
     part.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="mine this many geographic shards one by one and stitch "
-        "the boundaries (supergraph schemes only; 1 = whole-graph "
-        "builder)",
-    )
-    part.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     part.add_argument(
@@ -297,13 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memory",
         action="store_true",
         help="also track allocations with tracemalloc",
-    )
-    prof.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="mine this many geographic shards one by one and stitch "
-        "the boundaries (supergraph schemes only)",
     )
     prof.add_argument(
         "--out-dir",
@@ -515,7 +500,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         epsilon_eta=args.stability,
         seed=args.seed,
-        n_shards=args.shards,
         obs=obs,
     )
     result = framework.partition(network, densities)
@@ -785,7 +769,6 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         k=args.k,
         scheme=args.scheme,
         seed=args.seed,
-        n_shards=args.shards,
         obs=obs,
     )
     framework.partition(network, densities)
@@ -941,6 +924,20 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
     return 1 if state.get("burning") else 0
 
 
+def drift_densities(
+    current: np.ndarray, labels: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One step of ``serve --updates``' synthetic congestion drift.
+
+    Every current region is scaled by one factor drawn from
+    ``U(0.6, 1.5)``, so its mean density moves by that factor; an
+    independent factor per segment would average out over a region and
+    seldom cross the repartitioner's staleness threshold.
+    """
+    factor = rng.uniform(0.6, 1.5, size=int(labels.max()) + 1)
+    return np.maximum(current * factor[labels], 1e-6)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Partition (or load) a network and serve lookups until SIGTERM.
 
@@ -1071,9 +1068,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for __ in range(args.updates):
                 if stop_updates.wait(args.update_interval):
                     return
-                current = np.maximum(
-                    current * rng.uniform(0.6, 1.5, size=current.shape), 1e-6
-                )
+                current = drift_densities(current, repartitioner.labels, rng)
                 try:
                     repartitioner.update(current)
                 except Exception as exc:  # keep serving on update failure

@@ -47,8 +47,8 @@ def last_eigensolver_outcome() -> Optional[Dict[str, Any]]:
 
     A JSON-serialisable dict: ``solver`` (the path that produced the
     returned eigenpairs), ``method`` (what the caller requested),
-    ``n``/``k``, ``iterations`` (None when the backend does not expose
-    a count), ``residual`` (max column norm of ``M v - lambda v`` at
+    ``n``/``k``, ``iterations`` (always None: no backend exposes a
+    count), ``residual`` (max column norm of ``M v - lambda v`` at
     exit), ``converged`` and ``fallback_reason`` (None unless the
     ARPACK path fell back). Returns None before the first solve.
     """
@@ -86,7 +86,6 @@ def _record_outcome(
     solver: str,
     method: str,
     k: int,
-    iterations: Optional[int],
     converged: bool,
     fallback_reason: Optional[str],
     span=None,
@@ -97,7 +96,9 @@ def _record_outcome(
         "method": method,
         "n": int(adj.shape[0]),
         "k": int(k),
-        "iterations": iterations,
+        # no backend exposes an iteration count; the key stays for
+        # readers of persisted outcome records
+        "iterations": None,
         "residual": _exit_residual(adj, values, vectors),
         "converged": bool(converged),
         "fallback_reason": fallback_reason,
@@ -128,8 +129,7 @@ def smallest_eigenvectors(
         Number of smallest eigenpairs.
     method:
         ``"auto"`` (dense below :data:`DENSE_CUTOFF` nodes, ARPACK
-        above), ``"dense"``, ``"arpack"``, or ``"lanczos"`` (the
-        in-house solver of :mod:`repro.graph.lanczos`).
+        above), ``"dense"`` or ``"arpack"``.
 
     Returns
     -------
@@ -139,17 +139,14 @@ def smallest_eigenvectors(
 
     Notes
     -----
-    Every call records an outcome record — solver used, iterations
-    where the backend exposes them, residual at exit, fallback reason
-    — retrievable via :func:`last_eigensolver_outcome` and attached to
-    the ``eigensolve`` span when a tracer is active. The framework
-    lifts it into the run manifest and
-    :class:`repro.pipeline.results.PartitioningResult`.
+    Every call records an outcome record — solver used, residual at
+    exit, fallback reason — retrievable via
+    :func:`last_eigensolver_outcome` and attached to the ``eigensolve``
+    span when a tracer is active. The framework lifts it into the run
+    manifest and :class:`repro.pipeline.results.PartitioningResult`.
     """
-    if method not in ("auto", "dense", "arpack", "lanczos"):
-        raise PartitioningError(
-            f"method must be auto/dense/arpack/lanczos, got {method!r}"
-        )
+    if method not in ("auto", "dense", "arpack"):
+        raise PartitioningError(f"method must be auto/dense/arpack, got {method!r}")
     adj = sp.csr_matrix(adjacency, dtype=float)
     n = adj.shape[0]
     if not 1 <= k <= n:
@@ -162,30 +159,6 @@ def smallest_eigenvectors(
         else nullcontext()
     )
     with active as span:  # nullcontext yields None; tracer.span a Span
-        if method == "lanczos":
-            from repro.graph.lanczos import lanczos_smallest
-
-            incr("eigensolver.lanczos_calls")
-            stats: Dict[str, Any] = {}
-            values, vectors = lanczos_smallest(AlphaCutOperator(adj), k, stats=stats)
-            _record_outcome(
-                adj,
-                values,
-                vectors,
-                solver="dense" if stats.get("dense_fallback") else "lanczos",
-                method=method,
-                k=k,
-                iterations=stats.get("iterations"),
-                converged=True,
-                fallback_reason=(
-                    "lanczos_invariant_subspace"
-                    if stats.get("dense_fallback")
-                    else None
-                ),
-                span=span,
-            )
-            return values, vectors
-
         if method == "dense" or (
             method == "auto" and (n <= DENSE_CUTOFF or k >= n - 1)
         ):
@@ -200,7 +173,6 @@ def smallest_eigenvectors(
                 solver="dense",
                 method=method,
                 k=k,
-                iterations=None,
                 converged=True,
                 fallback_reason=None,
                 span=span,
@@ -235,7 +207,6 @@ def smallest_eigenvectors(
                     solver=solver,
                     method=method,
                     k=k,
-                    iterations=None,
                     converged=converged,
                     fallback_reason=fallback_reason,
                     span=span,
@@ -250,7 +221,6 @@ def smallest_eigenvectors(
             solver=solver,
             method=method,
             k=k,
-            iterations=None,
             converged=converged,
             fallback_reason=fallback_reason,
             span=span,

@@ -66,8 +66,8 @@ And the analysis layer, which *reads* what the other pillars record:
   optimization-target report over any trace export
   (``repro-partition obs analyze``);
 * :mod:`repro.obs.convergence` — per-iteration solver telemetry
-  (:class:`ConvergenceTrace`) attached to spans by the Lanczos /
-  k-means / boundary-refinement kernels, rendered as convergence panes
+  (:class:`ConvergenceTrace`) attached to spans by the k-means and
+  boundary-refinement kernels, rendered as convergence panes
   in the flight recorder;
 * :mod:`repro.obs.scaling` — power-law fits ``t ≈ a·n^b`` per pipeline
   stage over the benchmark history, with superlinear flags and

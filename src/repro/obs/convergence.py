@@ -1,16 +1,15 @@
 """Solver convergence telemetry: per-iteration series attached to spans.
 
-The iterative kernels of the pipeline — the Lanczos tridiagonalisation,
-the ARPACK eigensolve (and its no-convergence fallback), the Lloyd
-iterations of both k-means variants and the boundary-refinement sweeps
-— each converge (or fail to) over a series of iterations. A counter
+The iterative kernels of the pipeline — the Lloyd iterations of both
+k-means variants and the boundary-refinement sweeps — each converge
+(or fail to) over a series of iterations. A counter
 ("kmeans1d.iterations") says how many; it cannot say *how*: whether
-the residual stalled, the inertia plateaued early, or the last sweep
-still moved half the boundary.
+the centre shift stalled, the inertia plateaued early, or the last
+sweep still moved half the boundary.
 
 :class:`ConvergenceTrace` is the lightweight record of that *how*: a
-solver name, one or more named per-iteration series (residuals, Ritz
-shifts, inertia, moves ...), a converged flag and free-form metadata.
+solver name, one or more named per-iteration series (centre shifts,
+inertia, moves ...), a converged flag and free-form metadata.
 Instrumented solvers build one per run and hand it to
 :func:`attach_convergence`, which files it on the innermost open span
 of the ambient tracer — from where it rides the normal trace exports
@@ -64,15 +63,15 @@ class ConvergenceTrace:
     Attributes
     ----------
     solver:
-        Solver identifier (``"lanczos"``, ``"kmeans_1d"``,
-        ``"kmeans_nd"``, ``"boundary_refine"``, ``"arpack"`` ...).
+        Solver identifier (``"kmeans_1d"``, ``"kmeans_nd"``,
+        ``"boundary_refine"`` ...).
     series:
         Named per-iteration value lists (``{"residual": [...], ...}``);
         series may have different lengths when a solver records some
         quantities less often than others.
     converged:
         Whether the solver met its convergence criterion (None when
-        the notion does not apply, e.g. a fixed-budget Krylov sweep).
+        the notion does not apply, e.g. a fixed-budget sweep).
     meta:
         Free-form scalar facts (problem size, tolerance, restart
         index ...).

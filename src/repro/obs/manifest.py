@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 __all__ = ["MANIFEST_SCHEMA_VERSION", "run_manifest", "new_run_id"]
 
 #: Bump when the manifest layout changes incompatibly.
-MANIFEST_SCHEMA_VERSION = 2
+MANIFEST_SCHEMA_VERSION = 3
 
 
 def new_run_id() -> str:
@@ -113,8 +113,6 @@ def run_manifest(
     seed: Any = None,
     run_id: Optional[str] = None,
     extra: Optional[Dict[str, Any]] = None,
-    n_shards: Optional[int] = None,
-    n_shards_resolved: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Build a reproducibility manifest for one run.
 
@@ -131,13 +129,6 @@ def run_manifest(
         fresh one is generated when omitted.
     extra:
         Additional top-level fields (e.g. dataset name).
-    n_shards:
-        The requested shard count for sharded supergraph mining
-        (``n_shards_requested`` in the manifest; None when unsharded).
-    n_shards_resolved:
-        The shard count that actually ran, after the minimum-size
-        clamp — resolution needs the graph, so the caller passes it in
-        (None when unknown or unsharded).
 
     Returns
     -------
@@ -172,8 +163,6 @@ def run_manifest(
         "git_sha": _git_sha(),
         "argv": list(sys.argv),
         "env": env_knobs,
-        "n_shards_requested": n_shards,
-        "n_shards_resolved": n_shards_resolved,
     }
     if extra:
         manifest.update(extra)

@@ -62,12 +62,6 @@ class SpatialPartitioningFramework:
         :class:`repro.supergraph.SupergraphBuilder`).
     seed:
         Reproducibility seed.
-    n_shards:
-        When given, supergraph schemes mine geographic shards one by
-        one and stitch the boundaries (see
-        :class:`repro.shard.ShardedSupergraphBuilder`); ``partition``
-        derives the spatial split from the network's segment
-        midpoints. ``None`` keeps the whole-graph builder.
     obs:
         Optional :class:`repro.obs.ObsContext`. When given, every
         ``partition`` call runs inside the context — hierarchical
@@ -104,7 +98,6 @@ class SpatialPartitioningFramework:
         kappa_max: Optional[int] = None,
         sample_size: Optional[int] = None,
         seed: RngLike = None,
-        n_shards: Optional[int] = None,
         obs: Optional[ObsContext] = None,
         profile: Optional[ProfileConfig] = None,
     ) -> None:
@@ -123,7 +116,6 @@ class SpatialPartitioningFramework:
         self._kappa_max = kappa_max
         self._sample_size = sample_size
         self._seed = seed
-        self._n_shards = n_shards
         if profile is not None:
             if obs is None:
                 obs = ObsContext(profile=profile)
@@ -147,7 +139,6 @@ class SpatialPartitioningFramework:
             "epsilon_fraction": self._epsilon_fraction,
             "kappa_max": self._kappa_max,
             "sample_size": self._sample_size,
-            "n_shards": self._n_shards,
         }
 
     def partition(
@@ -191,12 +182,7 @@ class SpatialPartitioningFramework:
                     if densities is not None:
                         road_graph = road_graph.with_features(densities)
                 self.last_road_graph = road_graph
-                shard_points = None
-                if self._n_shards is not None and self._n_shards != 1:
-                    from repro.shard.spatial import segment_midpoints
-
-                    shard_points = segment_midpoints(network)
-                result = self._run(road_graph, timer, shard_points=shard_points)
+                result = self._run(road_graph, timer)
                 logger.info(
                     "run finished: k=%d in %.3fs (%s)",
                     result.k,
@@ -228,12 +214,7 @@ class SpatialPartitioningFramework:
                 result = self._run(road_graph, ModuleTimer())
         return result
 
-    def _run(
-        self,
-        road_graph: Graph,
-        timer: ModuleTimer,
-        shard_points: Optional[np.ndarray] = None,
-    ) -> PartitioningResult:
+    def _run(self, road_graph: Graph, timer: ModuleTimer) -> PartitioningResult:
         result = run_scheme(
             self._scheme,
             road_graph,
@@ -245,16 +226,12 @@ class SpatialPartitioningFramework:
             sample_size=self._sample_size,
             seed=self._seed,
             timer=timer,
-            n_shards=self._n_shards,
-            shard_points=shard_points,
         )
         result.timings = timer.timings
         result.manifest = run_manifest(
             config=self.config_dict(),
             seed=self._seed,
             run_id=self._obs.run_id if self._obs is not None else None,
-            n_shards=self._n_shards,
-            n_shards_resolved=result.n_shards_resolved,
             extra=(
                 {"eigensolver": dict(result.eigensolver)}
                 if result.eigensolver is not None

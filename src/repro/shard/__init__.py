@@ -1,36 +1,12 @@
-"""Spatial sharding: split a metropolis network, mine shards, stitch.
+"""Geometry of the segment set: midpoints and balanced spatial cells.
 
-The paper's pipeline is modular by construction — the dual transform,
-the supergraph mining of Algorithm 1, and the alpha-cut partitioning
-are separate modules over the same road graph. This package offers an
-approximation of module 2: the segment set is split into
-geographically compact shards (:mod:`repro.shard.spatial`), each shard
-is mined into supernodes on its own
-(:class:`repro.shard.pipeline.ShardedSupergraphBuilder`), and the
-per-shard supergraphs are stitched along the boundary zones before the
-single global alpha-cut runs on the merged supergraph.
+:func:`repro.shard.spatial.segment_midpoints` gives road-graph node
+coordinates (the serving index's nearest-segment lookup builds on
+them), and :func:`repro.shard.spatial.spatial_shards` cuts a point set
+into balanced, axis-aligned cells — a cheap valid labelling for serving
+benches and tests that need a partition without running the pipeline.
 """
 
-from repro.shard.pipeline import (
-    ShardedBuildReport,
-    ShardedSupergraphBuilder,
-    build_supergraph_sharded,
-)
-from repro.shard.spatial import (
-    graph_shards,
-    segment_midpoints,
-    shard_order,
-    spatial_shards,
-    structural_shards,
-)
+from repro.shard.spatial import segment_midpoints, spatial_shards
 
-__all__ = [
-    "ShardedBuildReport",
-    "ShardedSupergraphBuilder",
-    "build_supergraph_sharded",
-    "graph_shards",
-    "segment_midpoints",
-    "shard_order",
-    "spatial_shards",
-    "structural_shards",
-]
+__all__ = ["segment_midpoints", "spatial_shards"]

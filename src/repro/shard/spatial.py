@@ -1,28 +1,18 @@
-"""Geographic sharding of the segment set.
+"""Segment midpoints and a balanced kd-split of the segment set.
 
-Shards must be (a) balanced, so no shard dominates the mining, and
-(b) spatially compact, so the road-graph edges cut by the sharding —
-the boundary zones the stitcher has to repair — stay few. A recursive
-median kd-split on segment midpoints gives both: each recursion splits
-the widest spatial extent at the point median, so shard sizes differ
-by at most one and every shard is an axis-aligned cell.
-
-Networks loaded without geometry (a bare :class:`repro.graph.Graph`)
-fall back to :func:`structural_shards`: reverse Cuthill–McKee orders
-nodes so graph neighbours stay close, and contiguous chunks of that
-order make reasonable low-cut shards without any coordinates.
+:func:`segment_midpoints` places each road-graph node (a segment of the
+dual transform) at its segment's midpoint. :func:`spatial_shards` cuts
+such points into balanced, spatially compact cells with a recursive
+median kd-split: each recursion splits the widest spatial extent at the
+point median, so cell sizes differ by at most one and every cell is an
+axis-aligned box.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from repro.exceptions import GraphError
-from repro.graph.adjacency import Graph
 from repro.network.model import RoadNetwork
 
 
@@ -30,8 +20,7 @@ def segment_midpoints(network: RoadNetwork) -> np.ndarray:
     """Midpoint coordinates of every segment, shape ``(m, 2)``.
 
     The dual transform maps segment ``i`` to road-graph node ``i``, so
-    these midpoints are the node coordinates the spatial sharder
-    splits on.
+    these midpoints are the road-graph node coordinates.
     """
     ix = np.fromiter(
         (inter.location.x for inter in network.intersections),
@@ -109,68 +98,3 @@ def spatial_shards(points, n_shards: int) -> np.ndarray:
         stack.append((idx[order[:cut]], lo, lo + left))
         stack.append((idx[order[cut:]], lo + left, hi))
     return labels
-
-
-def structural_shards(adjacency, n_shards: int) -> np.ndarray:
-    """Coordinate-free sharding: RCM order cut into contiguous chunks.
-
-    Reverse Cuthill–McKee minimises bandwidth, so consecutive nodes in
-    the permutation are close in the graph; chunking the permutation
-    yields shards whose cut size is small without any geometry.
-    """
-    adj = sp.csr_matrix(adjacency)
-    n = adj.shape[0]
-    if not 1 <= n_shards <= max(n, 1):
-        raise GraphError(
-            f"need 1 <= n_shards <= n_nodes, got n_shards={n_shards}, n={n}"
-        )
-    labels = np.zeros(n, dtype=np.int64)
-    if n_shards == 1:
-        return labels
-    perm = np.asarray(reverse_cuthill_mckee(adj, symmetric_mode=True))
-    sizes = np.full(n_shards, n // n_shards, dtype=np.int64)
-    sizes[: n % n_shards] += 1
-    labels[perm] = np.repeat(np.arange(n_shards, dtype=np.int64), sizes)
-    return labels
-
-
-def graph_shards(
-    graph: Graph, n_shards: int, points: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Shard labels for a road graph: spatial when possible, else RCM.
-
-    Parameters
-    ----------
-    graph:
-        The (dual) road graph to shard.
-    n_shards:
-        Number of shards.
-    points:
-        Optional ``(n, d)`` node coordinates (segment midpoints from
-        :func:`segment_midpoints`); when absent the structural
-        fallback runs on the adjacency alone.
-    """
-    if points is not None:
-        pts = np.asarray(points, dtype=float)
-        n_expected = graph.n_nodes
-        if pts.shape[0] != n_expected:
-            raise GraphError(
-                f"points rows ({pts.shape[0]}) must match graph nodes "
-                f"({n_expected})"
-            )
-        return spatial_shards(pts, n_shards)
-    return structural_shards(graph.adjacency, n_shards)
-
-
-def shard_order(labels: np.ndarray, n_shards: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Group node ids by shard: ``(order, offsets)``.
-
-    ``order[offsets[s]:offsets[s+1]]`` are the (ascending) node ids of
-    shard ``s``.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    order = np.argsort(labels, kind="stable")
-    counts = np.bincount(labels, minlength=n_shards)
-    offsets = np.zeros(n_shards + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return order, offsets

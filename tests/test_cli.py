@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import drift_densities, main
+from repro.datasets.registry import load_dataset
+from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
 from repro.network.io import save_network_json
+from repro.pipeline.incremental import IncrementalRepartitioner
 from repro.traffic.profiles import hotspot_profile
 
 
@@ -26,16 +29,6 @@ class TestPartitionCommand:
         assert payload["k"] == 3
         assert "metrics" in payload
         assert payload["connected"] in (True, False)
-
-    def test_shards_recorded_in_manifest(self, capsys):
-        argv = ["partition", "D1", "-k", "4", "--seed", "0", "--json", "--shards", "2"]
-        assert main(argv) == 0
-        payload = json.loads(capsys.readouterr().out)  # stdout is pure JSON
-        assert payload["k"] == 4
-        manifest = payload["manifest"]
-        assert manifest["config"]["n_shards"] == 2
-        assert manifest["n_shards_requested"] == 2
-        assert manifest["n_shards_resolved"] == 2
 
     def test_network_file(self, tmp_path, capsys):
         net = grid_network(5, 5, two_way=True)
@@ -153,3 +146,20 @@ class TestDatasetsCommand:
         assert main(["datasets", "D9"]) == 1
         # diagnostics go to stderr so stdout stays pipeable
         assert "unknown" in capsys.readouterr().err
+
+
+class TestServeDrift:
+    def test_one_drift_step_refreshes_a_region(self):
+        # a factor per segment averages out over a region and leaves
+        # every region mean under the 25% staleness threshold; one
+        # factor per region must move at least one past it
+        network, densities = load_dataset("D1", seed=0)
+        graph = build_road_graph(network).with_features(densities)
+        repartitioner = IncrementalRepartitioner(graph, k=6, seed=0)
+        repartitioner.bootstrap(densities)
+        drifted = drift_densities(
+            np.asarray(densities, dtype=float),
+            repartitioner.labels,
+            np.random.default_rng(0),
+        )
+        assert len(repartitioner.update(drifted).refreshed) >= 1

@@ -39,6 +39,11 @@ class TestSmallestEigenvectors:
         with pytest.raises(PartitioningError):
             smallest_eigenvectors(two_cliques.adjacency, 99)
 
+    @pytest.mark.parametrize("method", ["lanczos", "magic"])
+    def test_invalid_method_rejected(self, two_cliques, method):
+        with pytest.raises(PartitioningError):
+            smallest_eigenvectors(two_cliques.adjacency, 2, method=method)
+
     def test_sparse_path_agrees_with_dense(self):
         """Force the ARPACK path with a graph above the dense cutoff
         by monkeypatching the cutoff."""

@@ -3,8 +3,8 @@
 Covers the ConvergenceTrace record (recording, finish, exact JSON
 round-trip under hypothesis, schema rejection), the attach/harvest
 path through real spans (including the per-span cap), the
-enabled/disabled gating, and the instrumented kernels — Lanczos,
-both k-means variants, boundary refinement and the eigensolver
+enabled/disabled gating, and the instrumented kernels — both
+k-means variants, boundary refinement — and the eigensolver
 outcome record that rides into results, manifests and persistence.
 """
 
@@ -25,8 +25,6 @@ from repro.core.spectral import (
     smallest_eigenvectors,
 )
 from repro.datasets import load_dataset, small_network
-from repro.graph.lanczos import lanczos_smallest
-from repro.graph.laplacian import AlphaCutOperator
 from repro.obs import ObsContext
 from repro.obs.convergence import (
     CONVERGENCE_SCHEMA_VERSION,
@@ -228,18 +226,6 @@ class TestInstrumentedSolvers:
         assert span.attrs["sweeps"] == br[0].n_iter
         assert span.attrs["moves"] == sum(br[0].series["moves"])
 
-    def test_lanczos_records_beta_and_stats(self):
-        adj = _ring_adjacency(40)
-        stats = {}
-        tracer = Tracer()
-        with activate_tracer(tracer):
-            with tracer.span("host") as span:
-                lanczos_smallest(AlphaCutOperator(adj), 3, stats=stats)
-        traces = traces_from_attrs(span.attrs)
-        assert any(t.solver == "lanczos" for t in traces)
-        assert stats["iterations"] >= 1
-        assert isinstance(stats["dense_fallback"], bool)
-
     def test_hot_loop_bounded_per_span(self):
         # thousands of kappa-scan fits under one span must not record
         # past the cap: the first MAX attach, the rest only count
@@ -281,15 +267,6 @@ class TestEigensolverOutcome:
         assert last_eigensolver_outcome() is None
         assert consume_eigensolver_outcome() is None
 
-    def test_lanczos_outcome_has_iterations(self):
-        consume_eigensolver_outcome()
-        adj = _ring_adjacency(30)
-        smallest_eigenvectors(adj, 2, method="lanczos")
-        outcome = last_eigensolver_outcome()
-        assert outcome["solver"] in ("lanczos", "dense")
-        assert outcome["iterations"] >= 1
-        assert outcome["residual"] < 1e-6
-
     def test_eigensolve_span_attrs(self):
         tracer = Tracer()
         with activate_tracer(tracer):
@@ -306,7 +283,7 @@ class TestEigensolverOutcome:
         framework = SpatialPartitioningFramework(k=4, scheme="ASG", seed=7)
         result = framework.partition(network)
         assert result.eigensolver is not None
-        assert result.eigensolver["solver"] in ("dense", "arpack", "lanczos")
+        assert result.eigensolver["solver"] in ("dense", "arpack")
         assert result.manifest["eigensolver"] == result.eigensolver
         rebuilt = result_from_dict(
             json.loads(json.dumps(result_to_dict(result)))
