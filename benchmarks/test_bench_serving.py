@@ -9,7 +9,11 @@ item 1) and drives it with the pipelined load generator, exactly as
   acceptance floor is >= 10k lookups/s sustained with p99 < 10 ms on
   one core;
 * **batch mode** — ``POST /lookup/batch`` with 64-id batches, showing
-  the coalescing headroom (one vectorised label take per batch).
+  the coalescing headroom (one vectorised label take per batch);
+* **telemetry overhead** — single-lookup traffic against an untraced
+  and a traced (SLO tracker + request spans) server, timed in
+  interleaved pairs of short windows; the median traced/untraced
+  lookups/s ratio must stay >= 0.95, and every pair is recorded.
 
 The partition labels come from the kd-tree spatial sharder — the bench
 measures the serving layer, not the partitioning algorithms, and
@@ -19,15 +23,16 @@ milliseconds.
 Writes ``BENCH_serving.json`` at the repo root (plus the usual
 ``benchmarks/results`` copy + history append, which is what the CI
 ``serve-smoke`` job gates p99 regressions against). The throughput and
-latency floors are always asserted — unlike the scaling bench there is
-no multi-core requirement; the target is explicitly single-machine,
-and this box may well have one core (``n_cores`` is recorded).
+latency floors are always asserted — there is no multi-core
+requirement; the target is explicitly single-machine, and the host
+may well have one core (``n_cores`` is recorded).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 from pathlib import Path
 
 import pytest
@@ -49,6 +54,13 @@ BATCH_SIZE = 64
 
 LOOKUPS_PER_S_FLOOR = 10_000
 P99_CEILING_S = 0.010
+
+# traced-vs-untraced overhead: interleaved paired windows, median ratio.
+# One pair's ratio spreads with sd ~0.08-0.1 on a shared 2-vCPU host
+# whatever the window length (0.25-1 s), so many short pairs pin the
+# median better than a few long ones.
+OVERHEAD_PAIRS = 21
+PAIR_WINDOW_S = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +151,12 @@ def test_bench_serving(serving_stack):
 
     # --- telemetry overhead: the same single-lookup traffic against a
     # server with the full request-telemetry plane attached (SLO
-    # tracker + request tracing). The batched per-group design must
-    # keep the fast path within 5% of the untraced throughput.
+    # tracker + request tracing). The merge-window design must keep
+    # the fast path within 5% of the untraced throughput. Both servers
+    # stay up and are timed in interleaved pairs of short windows (the
+    # first server alternates between pairs), and the gate reads the
+    # median pair ratio: two long back-to-back windows let one burst
+    # of machine load decide the verdict.
     from repro.obs.slo import SLOTracker, default_objectives
     from repro.obs.trace import Tracer
 
@@ -148,40 +164,59 @@ def test_bench_serving(serving_stack):
         store, slo=SLOTracker(default_objectives(P99_CEILING_S)), tracer=Tracer()
     )
     traced_handle = traced_server.start_background()
+
+    def lookups_per_s(port: int) -> float:
+        report = run_loadgen(
+            "127.0.0.1",
+            port,
+            n_segments=n_segments,
+            mode="single",
+            duration_s=PAIR_WINDOW_S,
+            connections=CONNECTIONS,
+            depth=DEPTH,
+            seed=1,
+        )
+        assert report.n_errors == 0
+        return report.lookups_per_s
+
+    pairs = []
     try:
         run_loadgen(  # warm-up, same as the untraced server got
             "127.0.0.1", traced_handle.port, n_segments=n_segments,
             mode="single", duration_s=0.5, connections=CONNECTIONS, depth=DEPTH,
         )
-        traced = run_loadgen(
-            "127.0.0.1",
-            traced_handle.port,
-            n_segments=n_segments,
-            mode="single",
-            duration_s=DURATION_S,
-            connections=CONNECTIONS,
-            depth=DEPTH,
-            seed=1,
-        )
-        assert traced.n_errors == 0
+        ports = {"untraced": handle.port, "traced": traced_handle.port}
+        for i in range(OVERHEAD_PAIRS):
+            order = ("traced", "untraced") if i % 2 else ("untraced", "traced")
+            rate = {side: lookups_per_s(ports[side]) for side in order}
+            pairs.append(
+                {
+                    "first": order[0],
+                    "untraced_lookups_per_s": rate["untraced"],
+                    "traced_lookups_per_s": rate["traced"],
+                    "ratio": rate["traced"] / max(rate["untraced"], 1e-9),
+                }
+            )
         assert traced_server.slo.burning() is False  # fast path within SLO
     finally:
         traced_handle.stop()
-    payload["traced"] = traced.to_dict()
-    overhead = 1.0 - traced.lookups_per_s / max(single["lookups_per_s"], 1e-9)
-    payload["traced_overhead_frac"] = overhead
+    median_ratio = statistics.median(pair["ratio"] for pair in pairs)
+    payload["traced_pairs"] = pairs
+    payload["traced_ratio_median"] = median_ratio
+    payload["traced_overhead_frac"] = 1.0 - median_ratio
     print_table(
-        "request-telemetry overhead (single mode)",
-        ["server", "lookups/s", "p99_ms"],
+        f"request-telemetry overhead (single mode, {OVERHEAD_PAIRS} pairs "
+        f"of {PAIR_WINDOW_S:g} s windows)",
+        ["first", "untraced lookups/s", "traced lookups/s", "ratio"],
         [
-            ["untraced", round(single["lookups_per_s"]),
-             single["latency_p99_s"] * 1e3],
-            ["traced+slo", round(traced.lookups_per_s), traced.p99_s * 1e3],
+            [pair["first"], round(pair["untraced_lookups_per_s"]),
+             round(pair["traced_lookups_per_s"]), pair["ratio"]]
+            for pair in pairs
         ],
     )
-    assert traced.lookups_per_s >= 0.95 * single["lookups_per_s"], (
-        f"telemetry overhead {overhead:.1%} exceeds the 5% budget "
-        f"({traced.lookups_per_s:.0f} vs {single['lookups_per_s']:.0f} lookups/s)"
+    assert median_ratio >= 0.95, (
+        f"telemetry overhead {1.0 - median_ratio:.1%} (median of "
+        f"{OVERHEAD_PAIRS} paired windows) exceeds the 5% budget"
     )
 
     results_path = save_results("bench_serving", payload)

@@ -8,7 +8,8 @@ A traffic management centre's loop, end to end:
    a ``MonitoringSession``, which publishes per-region density gauges,
    update-latency histograms, churn counters and partition-quality
    gauges (ANS / GDBI / conductance) into a Prometheus-scrapable
-   registry — here served on a local ``/metrics`` endpoint and
+   registry — here served at the partition server's ``/metrics``
+   (which also answers region lookups for every published epoch) and
    scraped once over HTTP, exactly as a Prometheus server would;
 3. per snapshot, print the region reports (level of service per
    region) and the boundary sharpness (where perimeter control would
@@ -33,6 +34,7 @@ from repro.network.dual import build_road_graph
 from repro.network.geojson import network_to_geojson, save_geojson
 from repro.obs import MonitoringSession, parse_prometheus
 from repro.pipeline.incremental import IncrementalRepartitioner
+from repro.serve import PartitionServer, SnapshotStore, attach_repartitioner
 from repro.viz.svg import render_partitions, save_svg
 
 K = 5
@@ -48,10 +50,20 @@ def main() -> None:
     inc = IncrementalRepartitioner(
         graph, k=K, staleness_threshold=0.2, seed=SEED
     )
-    with MonitoringSession(inc, serve=True) as session:
+    session = MonitoringSession(inc)
+    store = SnapshotStore()
+    attach_repartitioner(store, inc)  # every step publishes an epoch
+    server = PartitionServer(
+        store,
+        registry=session.registry,
+        run_id=session.obs.run_id,
+        require_epoch=False,
+    )
+    with server.start_background() as handle:
         session.bootstrap(series[SNAPSHOTS[0]])
+        metrics_url = handle.url + "/metrics"
         print(f"bootstrapped {K} regions at t={SNAPSHOTS[0]}")
-        print(f"metrics endpoint: {session.url}\n")
+        print(f"metrics endpoint: {metrics_url}\n")
 
         labels = inc.labels
         for t in SNAPSHOTS[1:]:
@@ -71,7 +83,7 @@ def main() -> None:
 
         # scrape the endpoint the way Prometheus would, and validate
         # the exposition with the package's own strict parser
-        body = urllib.request.urlopen(session.url, timeout=10).read().decode()
+        body = urllib.request.urlopen(metrics_url, timeout=10).read().decode()
         samples, families = parse_prometheus(body)
         latency = next(
             s for s in samples
@@ -84,6 +96,7 @@ def main() -> None:
             out_dir / "monitoring_report.html",
             title="congestion monitoring flight recorder",
         )
+    store.close()
 
     svg_path = out_dir / "monitoring_final.svg"
     save_svg(render_partitions(network, labels, title="final regions"), svg_path)

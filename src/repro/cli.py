@@ -43,9 +43,8 @@ Subcommands
     (the CI serve-smoke job uses this as its SLO gate).
 ``obs analyze``
     Analyze a trace JSON (nested or Chrome format): critical path,
-    per-stage self times, parallel slack with the Amdahl ceiling,
-    ranked optimization targets and harvested solver-convergence
-    traces. ``--json`` emits the strict analysis document the CI
+    per-stage self times, ranked optimization targets and harvested
+    solver-convergence traces. ``--json`` emits the strict analysis document the CI
     obs-smoke job validates.
 ``obs scaling``
     Fit per-stage power laws ``t ≈ a·n^b`` over the benchmark history
@@ -65,9 +64,6 @@ Subcommands
     Drive a running partition server with pipelined lookups and report
     sustained QPS and latency quantiles (plus the server's post-run
     error-budget state when it serves ``/slo``).
-
-``partition`` also accepts ``--profile-out`` / ``--profile-hz`` /
-``--profile-memory`` to profile any normal run in place.
 """
 
 from __future__ import annotations
@@ -142,24 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the run's metrics dump (counters, gauges, histograms "
         "plus the run manifest) to this JSON path",
-    )
-    part.add_argument(
-        "--profile-out",
-        default=None,
-        help="sample the run with the CPU profiler and write a "
-        "speedscope-JSON profile to this path (open at speedscope.app)",
-    )
-    part.add_argument(
-        "--profile-hz",
-        type=float,
-        default=97.0,
-        help="profiler sampling frequency in Hz (default 97)",
-    )
-    part.add_argument(
-        "--profile-memory",
-        action="store_true",
-        help="also track allocations with tracemalloc (per-span "
-        "alloc_bytes deltas; adds noticeable overhead)",
     )
 
     data = sub.add_parser("datasets", help="list built-in datasets")
@@ -256,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--profile",
         default=None,
-        help="speedscope profile JSON (from --profile-out / obs profile); "
+        help="speedscope profile JSON (from obs profile); "
         "adds the CPU flame-graph pane",
     )
     rep.add_argument(
@@ -308,8 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = obs_sub.add_parser(
         "analyze",
-        help="critical path, per-stage self times, parallel slack and "
-        "optimization targets from a trace JSON",
+        help="critical path, per-stage self times and optimization "
+        "targets from a trace JSON",
     )
     ana.add_argument(
         "trace",
@@ -483,17 +461,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         densities = network.densities()
 
     obs = None
-    if args.trace_out or args.metrics_out or args.profile_out:
-        profile = None
-        if args.profile_out:
-            from repro.obs.profile import ProfileConfig
-
-            profile = ProfileConfig(
-                hz=args.profile_hz, memory=args.profile_memory
-            )
-        obs = ObsContext(
-            dataset=args.dataset, scheme=args.scheme, profile=profile
-        )
+    if args.trace_out or args.metrics_out:
+        obs = ObsContext(dataset=args.dataset, scheme=args.scheme)
 
     framework = SpatialPartitioningFramework(
         k=args.k,
@@ -519,9 +488,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         _diag(f"wrote metrics to {args.metrics_out}")
-    if obs is not None and args.profile_out:
-        obs.write_profile(args.profile_out)
-        _diag(f"wrote profile to {args.profile_out}")
 
     if args.json:
         payload = {

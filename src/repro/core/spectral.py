@@ -185,7 +185,11 @@ def smallest_eigenvectors(
         converged = True
         fallback_reason = None
         try:
-            values, vectors = eigsh(operator, k=k, which="SA")
+            # a fixed start vector makes ARPACK deterministic: its
+            # default is a random one, so eigenpairs (and near-tied
+            # k-means assignments downstream) differed run to run
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+            values, vectors = eigsh(operator, k=k, which="SA", v0=v0)
         except ArpackNoConvergence as exc:
             # fall back to whatever converged, topped up by the dense path
             incr("eigensolver.arpack_no_convergence")

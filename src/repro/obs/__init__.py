@@ -43,9 +43,10 @@ On top of the per-run pillars sits the continuous-monitoring layer:
 * :mod:`repro.obs.bench` — append-only benchmark history
   (``benchmarks/results/history.jsonl``) with robust regression
   gating (``repro-partition bench compare``);
-* :mod:`repro.obs.export` — Prometheus text-format exposition, an
-  opt-in stdlib ``/metrics`` endpoint, and :class:`MonitoringSession`
-  publishing live gauges/histograms from the incremental pipeline;
+* :mod:`repro.obs.export` — Prometheus text-format exposition and
+  :class:`MonitoringSession` publishing live gauges/histograms from
+  the incremental pipeline (served over HTTP by the partition
+  server's ``/metrics``);
 * :mod:`repro.obs.report` — per-run flight-recorder HTML reports
   merging trace, metrics, manifest and (when profiled) an inline
   SVG flame graph (``repro-partition obs report``); the whole
@@ -62,8 +63,8 @@ On top of the per-run pillars sits the continuous-monitoring layer:
 And the analysis layer, which *reads* what the other pillars record:
 
 * :mod:`repro.obs.analyze` — critical-path extraction, per-stage
-  self/total time, parallel slack with an Amdahl ceiling, and a ranked
-  optimization-target report over any trace export
+  self/total time and a ranked optimization-target report over any
+  trace export
   (``repro-partition obs analyze``);
 * :mod:`repro.obs.convergence` — per-iteration solver telemetry
   (:class:`ConvergenceTrace`) attached to spans by the k-means and
@@ -106,7 +107,6 @@ from repro.obs.bench import (
 )
 from repro.obs.context import ObsContext, observe_run
 from repro.obs.export import (
-    MetricsHTTPServer,
     MonitoringSession,
     histogram_quantile,
     parse_prometheus,
@@ -117,7 +117,6 @@ from repro.obs.export import (
 from repro.obs.live import EpochGenealogyRecorder, LiveRecorder, TimeSeries
 from repro.obs.logs import configure_logging, get_logger, log_context
 from repro.obs.slo import (
-    SLOAccumulator,
     SLObjective,
     SLOTracker,
     default_objectives,
@@ -181,7 +180,6 @@ __all__ = [
     "machine_fingerprint",
     "render_prometheus",
     "parse_prometheus",
-    "MetricsHTTPServer",
     "MonitoringSession",
     "histogram_quantile",
     "quantile_from_latencies",
@@ -194,7 +192,6 @@ __all__ = [
     "EpochGenealogyRecorder",
     "SLObjective",
     "SLOTracker",
-    "SLOAccumulator",
     "default_objectives",
     # deep profiling
     "ProfileConfig",

@@ -20,23 +20,22 @@ the CI gate validate every scrape through it, so the emitted text is
 held to the format rules (name charset, label escaping, TYPE-before-
 samples, bucket cumulativity) rather than "looks about right".
 
-:class:`MetricsHTTPServer` is an opt-in stdlib ``http.server`` endpoint
-(no dependencies), and :class:`MonitoringSession` wires all of it to an
+:class:`MonitoringSession` wires all of it to an
 :class:`repro.pipeline.incremental.IncrementalRepartitioner`: every
 ``update()`` publishes update-latency histograms, churn counters,
 per-region density gauges and partition-quality gauges (ANS, GDBI,
-worst conductance), ready to scrape.
+worst conductance), ready to scrape. The HTTP endpoint is the
+partition server's ``/metrics`` (:class:`repro.serve.PartitionServer`
+with ``registry=session.registry``); this module serves nothing
+itself.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "render_prometheus",
     "parse_prometheus",
     "PrometheusSample",
-    "MetricsHTTPServer",
     "MonitoringSession",
     "histogram_quantile",
     "quantile_from_latencies",
@@ -459,126 +457,6 @@ def parse_prometheus(text: str) -> Tuple[List[PrometheusSample], Dict[str, str]]
 
 
 # ----------------------------------------------------------------------
-# /metrics endpoint (stdlib only, opt-in)
-class MetricsHTTPServer:
-    """Serve ``/metrics`` for a registry on a background thread.
-
-    Parameters
-    ----------
-    source:
-        A :class:`MetricsRegistry` or a zero-argument callable
-        returning exposition text (rendered per request, so scrapes
-        always see current values).
-    host, port:
-        Bind address; port 0 (default) picks a free port, exposed as
-        :attr:`port` / :attr:`url`.
-    namespace, extra_labels:
-        Forwarded to :func:`render_prometheus` when ``source`` is a
-        registry.
-    process_gauges:
-        When ``source`` is a registry, refresh the process-level
-        gauges (``process.rss_bytes``, ``process.threads``,
-        ``process.gc_collections[gen=N]`` — see
-        :func:`repro.obs.profile.sample_process_gauges`) before every
-        render so each scrape sees current values. Default True.
-    """
-
-    def __init__(
-        self,
-        source: Union[MetricsRegistry, Callable[[], str]],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        namespace: str = "repro",
-        extra_labels: Optional[Labels] = None,
-        process_gauges: bool = True,
-    ) -> None:
-        if isinstance(source, MetricsRegistry):
-            registry = source
-
-            def render() -> str:
-                if process_gauges:
-                    from repro.obs.profile import sample_process_gauges
-
-                    sample_process_gauges(registry)
-                return render_prometheus(
-                    registry, namespace=namespace, extra_labels=extra_labels
-                )
-
-            self._render = render
-        else:
-            self._render = source
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._host = host
-        self._requested_port = port
-
-    def start(self) -> "MetricsHTTPServer":
-        if self._httpd is not None:
-            return self
-        render = self._render
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib API)
-                if self.path.split("?", 1)[0] != "/metrics":
-                    # explicit JSON body: send_error()'s default page is
-                    # HTML and some minimal clients drop empty bodies
-                    body = json.dumps(
-                        {"error": "only /metrics is served", "status": 404}
-                    ).encode("utf-8")
-                    self.send_response(404)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                body = render().encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt: str, *args: Any) -> None:
-                logger.debug("metrics endpoint: " + fmt, *args)
-
-        self._httpd = ThreadingHTTPServer((self._host, self._requested_port), Handler)
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics-endpoint",
-            daemon=True,
-        )
-        self._thread.start()
-        logger.info("serving /metrics on %s", self.url)
-        return self
-
-    @property
-    def port(self) -> Optional[int]:
-        return self._httpd.server_address[1] if self._httpd else None
-
-    @property
-    def url(self) -> Optional[str]:
-        if self._httpd is None:
-            return None
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}/metrics"
-
-    def close(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "MetricsHTTPServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
 # monitoring session: incremental pipeline -> live metrics
 class MonitoringSession:
     """Continuous-monitoring harness around an incremental repartitioner.
@@ -605,17 +483,20 @@ class MonitoringSession:
 
     Updates also run under the session's :class:`ObsContext`, so span
     traces accumulate for the flight-recorder report
-    (:meth:`write_report`). With ``serve=True`` the session exposes the
-    registry at ``http://host:port/metrics`` (see :attr:`url`).
+    (:meth:`write_report`). To serve the registry over HTTP, hand it to
+    the partition server, which renders it at ``/metrics``::
+
+        store = SnapshotStore()
+        attach_repartitioner(store, inc)
+        server = PartitionServer(store, registry=session.registry,
+                                 run_id=session.obs.run_id,
+                                 require_epoch=False)
     """
 
     def __init__(
         self,
         repartitioner,
         obs: Optional[ObsContext] = None,
-        serve: bool = False,
-        host: str = "127.0.0.1",
-        port: int = 0,
         quality: bool = True,
         max_region_gauges: int = 64,
     ) -> None:
@@ -625,24 +506,11 @@ class MonitoringSession:
         self.max_region_gauges = int(max_region_gauges)
         self.snapshots = 0
         self._region_gauges: set = set()
-        self._server: Optional[MetricsHTTPServer] = None
-        if serve:
-            self._server = MetricsHTTPServer(
-                self.registry,
-                host=host,
-                port=port,
-                extra_labels={"run_id": self.obs.run_id},
-            ).start()
 
     # ------------------------------------------------------------------
     @property
     def registry(self) -> MetricsRegistry:
         return self.obs.metrics
-
-    @property
-    def url(self) -> Optional[str]:
-        """The ``/metrics`` URL when serving, else None."""
-        return self._server.url if self._server else None
 
     # ------------------------------------------------------------------
     def bootstrap(self, densities: Sequence[float]) -> np.ndarray:
@@ -696,17 +564,6 @@ class MonitoringSession:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(html_doc, encoding="utf-8")
         return path
-
-    def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-
-    def __enter__(self) -> "MonitoringSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def _publish(self, densities: np.ndarray, labels: np.ndarray) -> None:

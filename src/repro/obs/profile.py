@@ -72,7 +72,6 @@ __all__ = [
     "ProfileConfig",
     "Profiler",
     "current_profiler",
-    "merge_profiles",
     "render_collapsed",
     "parse_collapsed",
     "speedscope_from_stacks",
@@ -462,62 +461,6 @@ _ACTIVE_PROFILER: ContextVar[Optional[Profiler]] = ContextVar(
 def current_profiler() -> Optional[Profiler]:
     """The profiler whose :meth:`Profiler.start` is active, or None."""
     return _ACTIVE_PROFILER.get()
-
-
-# ----------------------------------------------------------------------
-# document-level combination
-def merge_profiles(*docs: Dict[str, Any], name: str = "merged profile") -> Dict[str, Any]:
-    """Combine speedscope documents into one multi-profile document.
-
-    Profiles with the same name (e.g. the same thread appearing in two
-    partial documents) have their stacks merged; distinct names stay
-    separate profiles sharing one frame table. The result validates
-    under :func:`validate_speedscope` and opens in speedscope as a
-    single unified flame graph with a profile selector per thread.
-    """
-    if not docs:
-        raise ValueError("merge_profiles needs at least one document")
-    merged: Dict[str, Dict[Tuple[str, ...], float]] = {}
-    for doc in docs:
-        for profile_name, stacks in stacks_from_speedscope(doc).items():
-            into = merged.setdefault(profile_name, {})
-            for frames, weight in stacks.items():
-                into[frames] = into.get(frames, 0.0) + weight
-
-    frame_index: Dict[str, int] = {}
-    frames_table: List[Dict[str, str]] = []
-
-    def index_of(frame: str) -> int:
-        if frame not in frame_index:
-            frame_index[frame] = len(frames_table)
-            frames_table.append({"name": frame})
-        return frame_index[frame]
-
-    profiles = []
-    for profile_name in sorted(merged):
-        stacks = merged[profile_name]
-        samples = [[index_of(f) for f in frames] for frames in sorted(stacks)]
-        weights = [round(stacks[frames], 9) for frames in sorted(stacks)]
-        profiles.append(
-            {
-                "type": "sampled",
-                "name": profile_name,
-                "unit": "seconds",
-                "startValue": 0,
-                "endValue": round(sum(weights), 9),
-                "samples": samples,
-                "weights": weights,
-            }
-        )
-    active = max(range(len(profiles)), key=lambda i: profiles[i]["endValue"])
-    return {
-        "$schema": SPEEDSCOPE_SCHEMA_URL,
-        "name": name,
-        "exporter": "repro.obs.profile",
-        "activeProfileIndex": active,
-        "shared": {"frames": frames_table},
-        "profiles": profiles,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ images — with:
 
 CLI: ``repro-partition obs report trace.json metrics.json -o report.html
 [--profile profile.speedscope.json]`` (the inputs are exactly what
-``partition --trace-out/--metrics-out/--profile-out`` and
+``partition --trace-out/--metrics-out``, ``obs profile`` and
 :class:`repro.obs.ObsContext` write).
 """
 
@@ -147,7 +147,7 @@ def trace_bars(trace: Optional[Dict[str, Any]]) -> List[Tuple]:
 def profile_section(profile: Optional[Dict[str, Any]]) -> Tuple[str, int]:
     """``(html, n_samples)`` for the CPU-profile pane of the report.
 
-    ``profile`` is a speedscope-JSON document (what ``--profile-out``
+    ``profile`` is a speedscope-JSON document (what ``obs profile``
     / :meth:`repro.obs.ObsContext.write_profile` writes); invalid or
     empty documents degrade to an explanatory paragraph rather than
     taking the whole report down.
@@ -367,18 +367,8 @@ def analysis_section(trace: Optional[Dict[str, Any]]) -> Tuple[str, str]:
         f"<td>{_esc('; '.join(target['reasons']))}</td></tr>"
         for target in report.targets
     )
-    parallel_note = ""
-    if report.parallel:
-        ceiling = report.amdahl.get("ceiling")
-        parallel_note = (
-            f"<p>{len(report.parallel)} parallel region(s); serial fraction "
-            f"{report.amdahl.get('serial_fraction', 1.0):.0%}"
-            + (f", Amdahl ceiling {ceiling:.1f}x" if ceiling else "")
-            + "</p>"
-        )
     analysis_html = (
         f"<p>critical path: {path_html}</p>"
-        + parallel_note
         + "<table><tr><th>#</th><th>stage</th><th>self (s)</th>"
         + "<th>% of wall</th><th>spans</th><th>notes</th></tr>"
         + rows
@@ -433,7 +423,7 @@ def flight_recorder_html(
     title:
         Heading; defaults to the run id.
     profile:
-        Optional speedscope-JSON document (``--profile-out`` /
+        Optional speedscope-JSON document (``obs profile`` /
         :meth:`repro.obs.ObsContext.write_profile`); adds a CPU
         flame-graph pane with a top-frames table.
     live:

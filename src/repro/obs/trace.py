@@ -134,7 +134,7 @@ class Tracer:
         #: or None. Checked once per span push/pop; tracing without
         #: profiling pays a single attribute load for it.
         self.profiler = None
-        self._epoch_perf = time.perf_counter()
+        self._perf0 = time.perf_counter()
         self._epoch_wall = time.time()
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -150,7 +150,7 @@ class Tracer:
         """Open a span as a context manager: ``with tracer.span("x"): ...``."""
         span = Span(
             name,
-            time.perf_counter() - self._epoch_perf,
+            time.perf_counter() - self._perf0,
             tid=self._tid(),
             **attrs,
         )
@@ -158,19 +158,11 @@ class Tracer:
 
     def record(self, name: str, seconds: float, **attrs: Any) -> Span:
         """Append an already-measured span (ends now, lasted ``seconds``)."""
-        now = time.perf_counter() - self._epoch_perf
+        now = time.perf_counter() - self._perf0
         span = Span(name, max(now - seconds, 0.0), tid=self._tid(), **attrs)
         span.duration = float(seconds)
         self._attach(span)
         return span
-
-    @property
-    def epoch_perf(self) -> float:
-        """:func:`time.perf_counter` at construction; span starts are
-        relative to it. Lets collaborators that buffer completed work
-        (e.g. the serving layer's span ring) realign their own
-        perf-counter stamps onto this tracer's timeline."""
-        return self._epoch_perf
 
     @property
     def current(self) -> Optional[Span]:
@@ -258,14 +250,14 @@ class Tracer:
         return stack
 
     def _push(self, span: Span) -> None:
-        span.start = time.perf_counter() - self._epoch_perf
+        span.start = time.perf_counter() - self._perf0
         self._stack().append(span)
         profiler = self.profiler
         if profiler is not None:
             profiler.on_span_open(span)
 
     def _pop(self, span: Span) -> None:
-        span.duration = time.perf_counter() - self._epoch_perf - span.start
+        span.duration = time.perf_counter() - self._perf0 - span.start
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()

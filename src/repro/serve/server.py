@@ -3,8 +3,10 @@
 :class:`PartitionServer` keeps a partitioned network resident and
 answers lookup traffic from a :class:`~repro.serve.snapshot.
 SnapshotStore`, stdlib-only (``asyncio.Protocol`` + hand-rolled
-HTTP/1.1 — the same dependency footprint as the
-:class:`~repro.obs.export.MetricsHTTPServer`).
+HTTP/1.1). It is also the project's one HTTP endpoint for metrics:
+any :class:`~repro.obs.metrics.MetricsRegistry` handed in as
+``registry`` (e.g. a :class:`~repro.obs.export.MonitoringSession`'s)
+is rendered at ``/metrics``.
 
 Endpoints (all JSON unless noted):
 
@@ -58,18 +60,20 @@ gauges every scrape refreshes. A per-status ``serve.responses
 :class:`~repro.obs.slo.SLOTracker` adds ``slo.*`` burn-rate gauges.
 
 Request telemetry is strictly opt-in and batched into per-connection
-*merge windows*: consecutive all-200 fast-path groups on a connection
-are folded together with a couple of integer adds, and the real work —
-SLO classification, one span (endpoint/status/epoch/trace-id
-attributes, the trace id taken from the window's W3C ``traceparent``
-header or freshly assigned), one sampled access line through
-``obs.logs`` (stderr — stdout stays reserved for the CLI's JSON) —
-runs once per window: every ``_TEL_MERGE_REQUESTS`` requests, at any
-status change, when the connection closes, and before every reader
-endpoint. That amortisation is what keeps the traced ``/lookup`` path
-within 5% of untraced throughput (asserted by
-``benchmarks/test_bench_serving.py``). With nothing attached, the
-fast path is byte-for-byte the PR 8 hot loop.
+*merge windows*, the one batching layer on the traced path:
+consecutive all-200 fast-path groups on a connection are folded
+together with a couple of integer adds, and the real work — one
+:meth:`SLOTracker.record <repro.obs.slo.SLOTracker.record>` per
+outcome, one :meth:`Tracer.record <repro.obs.trace.Tracer.record>`
+span (endpoint/status/epoch/trace-id attributes, the trace id taken
+from the window's W3C ``traceparent`` header or freshly assigned), one
+sampled access line through ``obs.logs`` (stderr — stdout stays
+reserved for the CLI's JSON) — runs once per window: every
+``_TEL_MERGE_REQUESTS`` requests, at any status change, when the
+connection closes, and before every reader endpoint. That amortisation
+is what keeps the traced ``/lookup`` path within 5% of untraced
+throughput (asserted by ``benchmarks/test_bench_serving.py``). With
+nothing attached, the fast path does no telemetry work at all.
 """
 
 from __future__ import annotations
@@ -83,13 +87,14 @@ import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from repro.exceptions import ServeError
 from repro.obs.export import quantiles_from_latencies, render_prometheus
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer, make_traceparent, parse_traceparent
+from repro.obs.report import live_section
+from repro.obs.trace import Tracer, make_traceparent, parse_traceparent
 from repro.serve.snapshot import SnapshotStore
 
 __all__ = ["PartitionServer", "ServerHandle"]
@@ -118,8 +123,6 @@ _QPS_WINDOW_S = 10.0
 _LATENCY_RESERVOIR = 8192
 #: bounded root-span history when request tracing is attached
 _TRACE_ROOTS_CAP = 4096
-#: flush the SLO accumulator to the tracker rings every N requests
-_SLO_FLUSH_EVERY = 256
 #: emit a connection's merged telemetry window every N requests
 _TEL_MERGE_REQUESTS = 512
 
@@ -276,12 +279,13 @@ class PartitionServer:
     run_id:
         Optional ``run_id`` label stamped on every exported sample.
     slo:
-        Optional :class:`~repro.obs.slo.SLOTracker`; every request
-        group feeds it and ``/slo`` + ``slo.*`` gauges light up.
+        Optional :class:`~repro.obs.slo.SLOTracker`; every merged
+        request window feeds it and ``/slo`` + ``slo.*`` gauges light up.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; every request group
-        records one span with endpoint/status/epoch/trace-id
-        attributes (root history bounded at ``_TRACE_ROOTS_CAP``).
+        Optional :class:`~repro.obs.trace.Tracer`; every merged request
+        window records one span with endpoint/status/epoch/trace-id/
+        n_requests attributes (root history bounded at
+        ``_TRACE_ROOTS_CAP``).
     access_log_sample:
         Fraction of request groups logged (INFO, stderr via
         ``obs.logs``) as structured access lines. 0.0 (default) logs
@@ -338,12 +342,6 @@ class PartitionServer:
         # QPS window: (monotonic_time, n_lookups) per handled group
         self._qps_window: Deque[Tuple[float, int]] = deque()
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_RESERVOIR)
-        # hot-path telemetry buffers: per-group outcomes are merged
-        # here (integer adds / one tuple append) and materialised into
-        # the tracker rings / Span objects only when a reader asks —
-        # that is how the traced fast path stays within the 5% budget
-        self._slo_acc = None if slo is None else slo.accumulator()
-        self._span_ring: Deque[tuple] = deque(maxlen=_TRACE_ROOTS_CAP)
         # telemetry plane attached? (fixed at construction; one bool
         # load per group instead of three attribute checks)
         self._tel_on = (
@@ -609,12 +607,11 @@ class PartitionServer:
         request target — representative, since windows only merge
         uniform fast-path traffic.
         """
-        per_request = seconds / n_requests if n_requests else 0.0
-        acc = self._slo_acc
-        if acc is not None:
-            acc.add(per_request, n_requests - n_bad, n_bad)
-            if acc.pending >= _SLO_FLUSH_EVERY:
-                acc.flush()
+        slo = self.slo
+        if slo is not None:
+            per_request = seconds / n_requests if n_requests else 0.0
+            slo.record(per_request, True, n_requests - n_bad)
+            slo.record(per_request, False, n_bad)
 
         if self.tracer is None and not self.access_log_sample:
             return
@@ -640,21 +637,21 @@ class PartitionServer:
                 trace_id, parent_id = header.split("-")[1], header.split("-")[2]
             proto.tp_cache = (head, (trace_id, parent_id))
 
-        if self.tracer is not None:
-            # one tuple append; Span objects are built lazily by
-            # _flush_spans when /trace (or a shutdown export) reads them
-            self._span_ring.append(
-                (
-                    time.perf_counter(),
-                    seconds,
-                    path,
-                    worst,
-                    epoch,
-                    n_requests,
-                    trace_id,
-                    parent_id,
-                )
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.record(
+                "serve.request_group",
+                seconds,
+                endpoint=path,
+                status=worst,
+                epoch=epoch,
+                n_requests=n_requests,
+                trace_id=trace_id,
+                parent_id=parent_id,
             )
+            roots = tracer.roots
+            if len(roots) > _TRACE_ROOTS_CAP:
+                del roots[: len(roots) - _TRACE_ROOTS_CAP]
 
         if self.access_log_sample and random.random() < self.access_log_sample:
             self._access_logger.info(
@@ -794,72 +791,16 @@ class PartitionServer:
             for status, count in statuses.items():
                 self.registry.inc(f"serve.responses[status={status}]", count)
 
-    def flush_telemetry(self) -> None:
-        """Drain the hot-path telemetry buffers into their stores.
+    def _flush_windows(self) -> None:
+        """Emit every connection's pending merge window.
 
-        The request path batches SLO outcomes (integer accumulator)
-        and spans (tuple ring); every reader — ``/slo``, ``/metrics``,
-        ``/trace``, ``/dashboard``, and the CLI's shutdown export —
-        flushes first, so observers always see a consistent view.
-        Safe to call from any thread (the per-connection merge windows
-        are only drained when called on the serving loop's thread; off
-        the loop they stay pending, bounding staleness at
-        ``_TEL_MERGE_REQUESTS`` requests per connection).
+        Every reader — ``/slo``, ``/metrics``, ``/trace``,
+        ``/dashboard`` — calls this first (on the serving loop, which
+        owns the windows), so it sees every request answered before it.
         """
-        loop = self._loop
-        if loop is not None:
-            try:
-                on_loop = asyncio.get_running_loop() is loop
-            except RuntimeError:
-                on_loop = False
-            if on_loop:
-                self._flush_conn_tel()
-        if self._slo_acc is not None:
-            self._slo_acc.flush()
-        self._flush_spans()
-
-    def _flush_conn_tel(self) -> None:
-        """Emit every connection's pending merge window (loop thread)."""
         for proto in list(self._protos):
             if proto.tel is not None:
                 self._emit_tel(proto)
-
-    def _flush_spans(self) -> None:
-        """Materialise ring-buffered request groups as tracer spans."""
-        tracer = self.tracer
-        ring = self._span_ring
-        if tracer is None or not ring:
-            return
-        epoch_perf = tracer.epoch_perf
-        roots = tracer.roots
-        while True:
-            try:
-                (
-                    end,
-                    seconds,
-                    path,
-                    status,
-                    epoch,
-                    n_requests,
-                    trace_id,
-                    parent_id,
-                ) = ring.popleft()
-            except IndexError:
-                break
-            span = Span(
-                "serve.request_group",
-                max(end - epoch_perf - seconds, 0.0),
-                endpoint=path,
-                status=status,
-                epoch=epoch,
-                n_requests=n_requests,
-                trace_id=trace_id,
-                parent_id=parent_id,
-            )
-            span.duration = seconds
-            roots.append(span)
-        if len(roots) > _TRACE_ROOTS_CAP:
-            del roots[: len(roots) - _TRACE_ROOTS_CAP]
 
     def _refresh_gauges(self, snap) -> None:
         registry = self.registry
@@ -883,8 +824,6 @@ class PartitionServer:
         registry.set_gauge("serve.latency_p50_s", p50)
         registry.set_gauge("serve.latency_p99_s", p99)
         if self.slo is not None:
-            if self._slo_acc is not None:
-                self._slo_acc.flush()
             self.slo.export_gauges(registry)
         try:
             from repro.obs.profile import sample_process_gauges
@@ -894,7 +833,7 @@ class PartitionServer:
             pass
 
     def _metrics_response(self, snap) -> bytes:
-        self.flush_telemetry()
+        self._flush_windows()
         self._refresh_gauges(snap)
         extra = {"run_id": self.run_id} if self.run_id else None
         text = render_prometheus(self.registry, extra_labels=extra)
@@ -908,21 +847,21 @@ class PartitionServer:
     def _slo_response(self) -> bytes:
         if self.slo is None:
             return _json_response({"enabled": False})
-        self.flush_telemetry()
+        self._flush_windows()
         return _json_response(self.slo.to_dict())
 
     def _trace_response(self) -> bytes:
         """Recent request-group spans (debug endpoint for propagation tests)."""
         if self.tracer is None:
             return _json_response({"enabled": False, "spans": []})
-        self.flush_telemetry()
+        self._flush_windows()
         roots = list(self.tracer.roots)[-200:]
         return _json_response(
             {"enabled": True, "spans": [span.to_dict() for span in roots]}
         )
 
     def _dashboard_response(self, snap) -> bytes:
-        self.flush_telemetry()
+        self._flush_windows()
         self._refresh_gauges(snap)
         body = self._dashboard_html(snap).encode("utf-8")
         head = (
@@ -932,8 +871,6 @@ class PartitionServer:
         return head + body
 
     def _dashboard_html(self, snap) -> str:
-        from repro.viz.svg import render_sparkline
-
         esc = _html.escape
         parts: List[str] = [
             "<!DOCTYPE html><html><head><meta charset='utf-8'>",
@@ -983,23 +920,7 @@ class PartitionServer:
             parts.append("<p>no live recorder attached (start with "
                          "<code>--record-live</code>)</p>")
         else:
-            drawn = 0
-            for name in self.live.series_names:
-                series = self.live.series(name)
-                values = series.values()
-                if not values:
-                    continue
-                agg = series.aggregate()
-                spark = render_sparkline(values[-256:], title=name)
-                parts.append(
-                    f"<div class='series'><b>{esc(name)}</b><br>{spark}<br>"
-                    f"last {agg['last']:.4g} &middot; p50 {agg['p50']:.4g} "
-                    f"&middot; p99 {agg['p99']:.4g} &middot; "
-                    f"n={agg['count']}</div>"
-                )
-                drawn += 1
-            if not drawn:
-                parts.append("<p>no samples yet</p>")
+            parts.append(live_section(self.live.to_dict())[0])
 
         parts.append("<h2>Epoch genealogy</h2>")
         if self.genealogy is None:

@@ -63,6 +63,19 @@ class TestSmallestEigenvectors:
             spec.DENSE_CUTOFF = old
         np.testing.assert_allclose(np.sort(sparse_vals), dense_vals, atol=1e-6)
 
+    def test_arpack_is_deterministic(self):
+        """Two ARPACK solves of one operator return bitwise-equal
+        eigenpairs (a fixed start vector, not ARPACK's random one)."""
+        from repro.network.dual import build_road_graph
+        from repro.network.generators import grid_network
+
+        adjacency = build_road_graph(grid_network(12, 12, two_way=True)).adjacency
+        assert adjacency.shape[0] == 528
+        first = smallest_eigenvectors(adjacency, 8, method="arpack")
+        second = smallest_eigenvectors(adjacency, 8, method="arpack")
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
+
 
 class TestRowNormalize:
     def test_unit_rows(self, rng):

@@ -1,7 +1,7 @@
-"""Tests for repro.obs.analyze: critical paths and parallel slack.
+"""Tests for repro.obs.analyze: critical paths and per-stage self time.
 
-Built around hand-crafted span trees whose critical path, self times
-and parallel regions are known in closed form, fed through all three
+Built around hand-crafted span trees whose critical path and self
+times are known in closed form, fed through all three
 input adapters (live Tracer, nested JSON, Chrome events) to pin the
 format-independence contract, plus the strict ``validate_analysis``
 rejection surface, a hypothesis round trip for the report document,
@@ -120,10 +120,10 @@ class TestSerialAnalysis:
         assert "on the critical path" in report.targets[0]["reasons"]
 
     def test_serial_trace_has_no_parallel_regions(self):
-        report = analyze_trace(_serial_pipeline())
-        assert report.parallel == []
-        assert report.amdahl["serial_fraction"] == pytest.approx(1.0)
-        assert report.amdahl["ceiling"] == pytest.approx(1.0)
+        # schema 2 carries no parallel-region model at all
+        payload = analyze_trace(_serial_pipeline()).to_dict()
+        assert payload["schema_version"] == 2
+        assert "parallel" not in payload and "amdahl" not in payload
 
     def test_top_truncates_targets(self):
         report = analyze_trace(_serial_pipeline(), top=2)
@@ -182,9 +182,9 @@ class TestInputFormats:
 
 
 # ----------------------------------------------------------------------
-# parallel slack
-class TestParallelRegions:
-    def test_overlapping_children_form_a_region(self):
+# overlapping spans: self time is the union of child intervals
+class TestOverlappingSpans:
+    def test_overlapping_children_self_time_is_union(self):
         trace = _nested(
             _span(
                 "run",
@@ -192,76 +192,36 @@ class TestParallelRegions:
                 10.0,
                 children=[
                     _span(
-                        "parallel_map",
+                        "fan_out",
                         2.0,
                         6.0,
                         children=[
                             _span("shard", 2.0, 6.0),
-                            _span("shard", 2.0, 6.0),
+                            _span("shard", 3.0, 5.0),
                         ],
                     )
                 ],
             )
         )
         report = analyze_trace(trace)
-        assert len(report.parallel) == 1
-        region = report.parallel[0]
-        assert region["region"] == "parallel_map"
-        assert region["n_lanes"] == 2
-        assert region["achieved_speedup"] == pytest.approx(2.0)
-        assert region["ideal_speedup"] == pytest.approx(2.0)
-        assert region["efficiency"] == pytest.approx(1.0)
-        # window [2, 8] of a 10s wall -> 40% serial, ceiling 2.5x
-        assert report.amdahl["serial_fraction"] == pytest.approx(0.4)
-        assert report.amdahl["ceiling"] == pytest.approx(2.5)
+        self_by_name = {s["name"]: s["self_s"] for s in report.stages}
+        # the shards cover [2, 8] once, not 6 + 5 seconds
+        assert self_by_name["fan_out"] == pytest.approx(0.0)
+        assert self_by_name["run"] == pytest.approx(4.0)
+        assert self_by_name["shard"] == pytest.approx(11.0)
 
-    def test_back_to_back_children_are_not_parallel(self):
-        trace = _nested(
-            _span(
-                "run",
-                0.0,
-                4.0,
-                children=[_span("a", 0.0, 2.0), _span("b", 2.0, 2.0)],
-            )
-        )
-        assert analyze_trace(trace).parallel == []
-
-    def test_detached_root_pairs_with_host(self):
-        # a worker-thread lane recorded as a separate root overlaps
-        # the main run: it must surface as a 2-lane region
+    def test_detached_root_is_a_separate_stage(self):
+        # a worker-thread lane recorded as a separate root: counted as a
+        # stage, but the main tree alone defines the critical path and
+        # the coverage
         trace = _nested(
             _span("run", 0.0, 10.0),
             _span("worker:loader", 3.0, 4.0),
         )
         report = analyze_trace(trace)
-        assert len(report.parallel) == 1
-        assert report.parallel[0]["n_lanes"] == 2
-        assert report.parallel[0]["region"] == "run"
-        # busy = 10 + 4 over a 10s window
-        assert report.parallel[0]["achieved_speedup"] == pytest.approx(1.4)
-
-    def test_parallel_efficiency_feeds_target_reasons(self):
-        trace = _nested(
-            _span(
-                "run",
-                0.0,
-                10.0,
-                children=[
-                    _span(
-                        "mine",
-                        0.0,
-                        8.0,
-                        children=[
-                            _span("shard", 0.0, 8.0),
-                            _span("shard", 0.0, 4.0),
-                        ],
-                    )
-                ],
-            )
-        )
-        report = analyze_trace(trace)
-        mine = next(t for t in report.targets if t["name"] == "mine")
-        assert any("parallel efficiency" in r for r in mine["reasons"])
+        assert [e["name"] for e in report.critical_path] == ["run"]
+        assert {s["name"] for s in report.stages} == {"run", "worker:loader"}
+        assert report.coverage == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------
@@ -365,10 +325,8 @@ class TestReportDocument:
             lambda p: p["targets"][0].update(reasons="not-a-list"),
             lambda p: p["stages"][0].update(count=0),
             lambda p: p["stages"][0].pop("on_critical_path"),
-            lambda p: p.update(amdahl={"serial_fraction": 2.0}),
-            lambda p: p.update(
-                parallel=[{"region": "x", "n_lanes": 1}]
-            ),
+            lambda p: p.update(schema_version=1),
+            lambda p: p["critical_path"][0].update(self_s=-1.0),
             lambda p: p.update(
                 convergence=[{"span": "x", "trace": {"schema_version": 9}}]
             ),

@@ -4,11 +4,14 @@ The exposition renderer is held to the text-format rules by the
 package's own strict parser — every golden test round-trips through
 ``parse_prometheus`` — and the end-to-end test drives a real
 ``IncrementalRepartitioner`` under a ``MonitoringSession`` over five
-density snapshots and scrapes the live ``/metrics`` endpoint the way a
-Prometheus server would (the ISSUE-4 acceptance demo).
+density snapshots and scrapes the session's registry from the
+partition server's live ``/metrics`` endpoint the way a Prometheus
+server would.
 """
 
+import json
 import math
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -18,7 +21,6 @@ from repro.network.dual import build_road_graph
 from repro.network.generators import grid_network
 from repro.obs.export import (
     CONTENT_TYPE,
-    MetricsHTTPServer,
     MonitoringSession,
     escape_label_value,
     parse_prometheus,
@@ -26,6 +28,8 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.incremental import IncrementalRepartitioner
+from repro.serve import PartitionServer, SegmentIndex, SnapshotStore
+from repro.serve.snapshot import attach_repartitioner
 from repro.traffic.profiles import hotspot_profile
 
 
@@ -179,45 +183,73 @@ class TestParser:
         assert math.isnan(samples[1].value)
 
 
-class TestMetricsHTTPServer:
-    def test_serves_metrics_and_404s_elsewhere(self):
-        reg = MetricsRegistry()
-        reg.inc("hits", 7)
-        with MetricsHTTPServer(reg) as server:
-            assert server.port not in (None, 0)
-            response = urllib.request.urlopen(server.url, timeout=5)
-            assert response.headers["Content-Type"] == CONTENT_TYPE
-            samples, __ = parse_prometheus(response.read().decode())
-            assert any(s.name == "repro_hits_total" and s.value == 7 for s in samples)
-            base = server.url.rsplit("/", 1)[0]
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(base + "/other", timeout=5)
+def _served_store(setup):
+    """A store with one published epoch over the 8x8 test grid."""
+    network, graph, base = setup
+    labels = np.arange(network.n_segments) % 4
+    store = SnapshotStore()
+    store.publish(SegmentIndex(labels, adjacency=graph.adjacency, features=base))
+    return store
 
-    def test_scrapes_see_current_values(self):
+
+class TestServedRegistry:
+    def test_scrapes_see_current_values(self, setup):
         reg = MetricsRegistry()
         reg.inc("n", 1)
-        with MetricsHTTPServer(reg) as server:
-            urllib.request.urlopen(server.url, timeout=5).read()
+        store = _served_store(setup)
+        with PartitionServer(store, registry=reg).start_background() as handle:
+            url = handle.url + "/metrics"
+            first = urllib.request.urlopen(url, timeout=5)
+            assert first.headers["Content-Type"] == CONTENT_TYPE
+            first.read()
             reg.inc("n", 1)
-            body = urllib.request.urlopen(server.url, timeout=5).read().decode()
+            body = urllib.request.urlopen(url, timeout=5).read().decode()
+        store.close()
         samples, __ = parse_prometheus(body)
         assert next(s for s in samples if s.name == "repro_n_total").value == 2
+
+    def test_404_carries_a_json_body(self, setup):
+        store = _served_store(setup)
+        with PartitionServer(store).start_background() as handle:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(handle.url + "/nope", timeout=5)
+        store.close()
+        err = excinfo.value
+        assert err.code == 404
+        body = json.loads(err.read())
+        assert body["status"] == 404
+        assert "/nope" in body["error"]
+        assert err.headers["Content-Type"].startswith("application/json")
 
 
 class TestMonitoringSession:
     def test_end_to_end_five_snapshots_served_and_parsed(self, setup):
-        """ISSUE-4 acceptance demo: live /metrics over >=5 snapshots."""
+        """Live /metrics over >=5 snapshots, served by the partition
+        server from the session's registry."""
         __, graph, base = setup
         inc = IncrementalRepartitioner(graph, k=4, staleness_threshold=0.15, seed=0)
         rng = np.random.default_rng(0)
-        with MonitoringSession(inc, serve=True) as session:
+        session = MonitoringSession(inc)
+        store = SnapshotStore()
+        attach_repartitioner(store, inc)
+        server = PartitionServer(
+            store,
+            registry=session.registry,
+            run_id=session.obs.run_id,
+            require_epoch=False,
+        )
+        with server.start_background() as handle:
             session.bootstrap(base)
             densities = base
             for __i in range(5):
                 densities = densities * rng.uniform(0.6, 1.8, size=densities.shape)
                 report = session.update(densities)
                 assert report.duration_s > 0
-            body = urllib.request.urlopen(session.url, timeout=10).read().decode()
+            body = urllib.request.urlopen(
+                handle.url + "/metrics", timeout=10
+            ).read().decode()
+        store.close()
+        assert store.last_epoch == 6  # bootstrap + five updates
         samples, types = parse_prometheus(body)  # must obey the format rules
         names = {s.name for s in samples}
         # update latency histogram with 5 observations
@@ -241,8 +273,7 @@ class TestMonitoringSession:
     def test_scrape_without_serving(self, setup):
         __, graph, base = setup
         inc = IncrementalRepartitioner(graph, k=3, staleness_threshold=0.2, seed=0)
-        session = MonitoringSession(inc, serve=False)
-        assert session.url is None
+        session = MonitoringSession(inc)
         session.bootstrap(base)
         session.update(base * 2.0)
         samples, __t = parse_prometheus(session.scrape())
@@ -313,24 +344,3 @@ class TestQuantilesFromLatencies:
         from repro.obs.export import quantiles_from_latencies
 
         assert quantiles_from_latencies([9.0, 1.0], (0.5,)) == [1.0]
-
-
-class TestMetricsHTTPServer404Body:
-    def test_404_carries_a_json_body(self):
-        """Regression: the 404 path used to send headers with no body,
-        leaving clients that trust Content-Type hanging on an empty
-        document."""
-        import json as _json
-
-        reg = MetricsRegistry()
-        with MetricsHTTPServer(reg) as server:
-            base = server.url.rsplit("/", 1)[0]
-            try:
-                urllib.request.urlopen(base + "/nope", timeout=5)
-                raise AssertionError("expected HTTP 404")
-            except urllib.error.HTTPError as err:
-                assert err.code == 404
-                body = _json.loads(err.read())
-                assert body["status"] == 404
-                assert "metrics" in body["error"]
-                assert err.headers["Content-Type"].startswith("application/json")

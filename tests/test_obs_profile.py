@@ -3,10 +3,10 @@
 Covers the deep-profiling pillar end to end — ProfileConfig
 validation, a real profiled pipeline run (span CPU/memory attributes,
 speedscope + collapsed exports), exact round-trip properties of both
-serialisers (hypothesis), merging speedscope documents, the strict
-speedscope validator's rejection surface, profile diffing, process gauges in the Prometheus exposition,
-the memory-aware bench gate direction, and the CLI surface
-(``obs profile`` / ``obs diff`` / ``partition --profile-out``).
+serialisers (hypothesis), the strict speedscope validator's
+rejection surface, profile diffing, process gauges in the Prometheus
+exposition, the memory-aware bench gate direction, and the CLI surface
+(``obs profile`` / ``obs diff``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.obs.profile import (
     Profiler,
     diff_profiles,
     frame_weights,
-    merge_profiles,
     parse_collapsed,
     process_max_rss_bytes,
     process_rss_bytes,
@@ -285,38 +284,6 @@ class TestSpeedscopeRoundTrip:
         assert validate_speedscope(doc)
 
 
-class TestMergeProfiles:
-    def _profiled_speedscope(self, seconds=0.05):
-        prof = Profiler(ProfileConfig(hz=400))
-        with prof:
-            deadline = time.perf_counter() + seconds
-            while time.perf_counter() < deadline:
-                sum(range(2000))
-        return prof.speedscope()
-
-    def test_merge_profiles_combines_documents(self):
-        doc_a = self._profiled_speedscope()
-        doc_b = self._profiled_speedscope()
-        for profile in doc_b["profiles"]:
-            profile["name"] = f"other:{profile['name']}"
-        merged = merge_profiles(doc_a, doc_b, name="combined")
-        validate_speedscope(merged)
-        assert merged["name"] == "combined"
-        names = {p["name"] for p in merged["profiles"]}
-        assert names == {p["name"] for p in doc_a["profiles"]} | {
-            p["name"] for p in doc_b["profiles"]
-        }
-
-    def test_merge_profiles_folds_same_named_lanes(self):
-        doc_a = self._profiled_speedscope()
-        doc_b = self._profiled_speedscope()
-        merged = merge_profiles(doc_a, doc_b)
-        validate_speedscope(merged)
-        # both docs profile MainThread → one combined lane
-        names = [p["name"] for p in merged["profiles"]]
-        assert names.count("MainThread") == 1
-
-
 class TestValidateSpeedscope:
     def _doc(self):
         return speedscope_from_stacks({("a", "b"): 1.0, ("c",): 2.0})
@@ -451,13 +418,6 @@ class TestCli:
         assert (out_dir / "trace.json").exists()
         assert (out_dir / "metrics.json").exists()
         assert "profiled D1" in capsys.readouterr().out
-
-    def test_partition_profile_out(self, tmp_path):
-        path = tmp_path / "run.speedscope.json"
-        assert main(
-            ["partition", "D1", "-k", "3", "--profile-out", str(path)]
-        ) == 0
-        assert validate_speedscope(json.loads(path.read_text()))
 
     def test_obs_diff(self, tmp_path, capsys):
         base = tmp_path / "base.json"

@@ -105,6 +105,58 @@ class TestSLOEndpoint:
         assert "repro_slo_burning" in names
 
 
+class TestMergeWindowCounts:
+    def test_window_counts_add_up_to_requests_sent(self, observed_server):
+        """Every request lands in exactly one merge window: over one
+        keep-alive connection that crosses the 512-request window limit
+        twice and carries a 404, the SLO tracker and the request spans
+        both count each request once."""
+        import socket
+
+        handle, __, n_segments = observed_server
+        n_lookups = 2 * 512 + 100
+        lookups = [
+            b"GET /lookup?segment=%d HTTP/1.1\r\nHost: x\r\n\r\n"
+            % (i % n_segments)
+            for i in range(n_lookups)
+        ]
+        not_found = b"GET /no-such-route HTTP/1.1\r\nHost: x\r\n\r\n"
+        stream = lookups[:600] + [not_found] + lookups[600:]
+        n_sent = len(stream)
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as sock:
+            # pipeline 16 at a time and drain the answers before the
+            # next burst, so the server sees many small groups that it
+            # has to merge into windows
+            n_404 = 0
+            for start in range(0, n_sent, 16):
+                burst = stream[start : start + 16]
+                sock.sendall(b"".join(burst))
+                received = b""
+                while received.count(b"HTTP/1.1 ") < len(burst):
+                    chunk = sock.recv(1 << 16)
+                    assert chunk, "server closed the connection early"
+                    received += chunk
+                n_404 += received.count(b"HTTP/1.1 404")
+            assert n_404 == 1
+
+            # read while the connection is still open: its last window
+            # is pending until a reader endpoint flushes it
+            slo = json.loads(_get(handle.url + "/slo"))
+            longest = {
+                e["objective"]["name"]: e["windows"][-1] for e in slo["objectives"]
+            }
+            assert longest["availability"]["good"] == n_sent
+            assert longest["availability"]["bad"] == 0
+            assert longest["latency"]["good"] + longest["latency"]["bad"] == n_sent
+
+            # the /slo read above is itself one more (single-request)
+            # window on its own connection; leave it out
+            spans = json.loads(_get(handle.url + "/trace"))["spans"]
+            served = [s for s in spans if s["attrs"]["endpoint"] != "/slo"]
+            assert sum(s["attrs"]["n_requests"] for s in served) == n_sent
+            assert any(s["attrs"]["status"] == 404 for s in served)
+
+
 class TestInjectedSlowness:
     def test_slow_path_burns_the_latency_budget(self):
         store, __ = _make_store()
